@@ -16,7 +16,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"nostop/internal/sim"
 )
@@ -36,8 +35,9 @@ type Record struct {
 // thread in deterministic event order; implementations must not mutate
 // broker state. A nil observer disables notification.
 type Observer interface {
-	// OnAppend fires after records are appended to a partition log.
-	OnAppend(topic string, partition int, n int64)
+	// OnAppend fires once per produce call, after n records are appended
+	// to the topic's partition logs.
+	OnAppend(topic string, n int64)
 	// OnFetch fires after a consumer-group fetch consumes n records over
 	// the given offset ranges.
 	OnFetch(topic string, n int64, ranges []OffsetRange)
@@ -52,16 +52,16 @@ type Observer interface {
 	OnOutage(topic string, partition int, down bool)
 }
 
-// Partition is an append-only offset log with a bounded sample tail.
+// Partition is an append-only offset log with a bounded sample tail. Its
+// end offset is not stored: the topic's single rotation cursor deals
+// records round-robin, so End derives it from the topic's append total.
 type Partition struct {
 	Topic  string
 	ID     int
 	Broker *Broker
 
-	begin, end int64 // log spans offsets [begin, end)
-	down       bool  // outage: the partition leader is unreachable
-	obs        Observer
-	top        *Topic // owning topic, for incremental aggregate accounting
+	down bool   // outage: the partition leader is unreachable
+	top  *Topic // owning topic: append total, outage count, observer
 
 	samples    []Record // ring buffer of most recent concrete payloads
 	sampleHead int      // index of the oldest retained record once full
@@ -72,7 +72,7 @@ type Partition struct {
 // outage models a consumer-side fetch failure, with the log itself durable —
 // but consumer groups cannot fetch from it.
 func (p *Partition) SetDown(down bool) {
-	if down != p.down && p.top != nil {
+	if down != p.down {
 		if down {
 			p.top.downCount++
 		} else {
@@ -80,8 +80,8 @@ func (p *Partition) SetDown(down bool) {
 		}
 	}
 	p.down = down
-	if p.obs != nil {
-		p.obs.OnOutage(p.Topic, p.ID, down)
+	if p.top.obs != nil {
+		p.top.obs.OnOutage(p.Topic, p.ID, down)
 	}
 }
 
@@ -89,48 +89,31 @@ func (p *Partition) SetDown(down bool) {
 func (p *Partition) Down() bool { return p.down }
 
 // Begin returns the first retained offset (0 in this in-memory model).
-func (p *Partition) Begin() int64 { return p.begin }
+func (p *Partition) Begin() int64 { return 0 }
 
-// End returns the next offset to be written.
-func (p *Partition) End() int64 { return p.end }
-
-// appendCount appends n records without payloads.
-//nostop:hotpath
-func (p *Partition) appendCount(n int64) {
-	p.end += n
-	if t := p.top; t != nil {
-		t.totalEnd += n
-		if t.acct != nil {
-			t.acct.Produced += n
-		}
+// End returns the next offset to be written. After T records dealt
+// round-robin over P partitions from partition 0, partition i holds
+// T/P records, plus one when i < T%P.
+func (p *Partition) End() int64 {
+	total, parts := p.top.totalEnd, int64(len(p.top.Partitions))
+	end := total / parts
+	if int64(p.ID) < total%parts {
+		end++
 	}
-	if p.obs != nil && n > 0 {
-		p.obs.OnAppend(p.Topic, p.ID, n)
-	}
+	return end
 }
 
-// appendRecord appends one concrete record, retaining it in the sample ring.
-func (p *Partition) appendRecord(key, value string, t sim.Time) Record {
-	rec := Record{Partition: p.ID, Offset: p.end, Key: key, Value: value, Time: t}
-	p.end++
-	if top := p.top; top != nil {
-		top.totalEnd++
-		if top.acct != nil {
-			top.acct.Produced++
-		}
+// retain keeps rec in the sample ring, overwriting the oldest once full.
+func (p *Partition) retain(rec Record) {
+	if cap(p.samples) == 0 {
+		return
 	}
-	if p.obs != nil {
-		p.obs.OnAppend(p.Topic, p.ID, 1)
+	if len(p.samples) < cap(p.samples) {
+		p.samples = append(p.samples, rec)
+	} else {
+		p.samples[p.sampleHead] = rec
+		p.sampleHead = (p.sampleHead + 1) % cap(p.samples)
 	}
-	if cap(p.samples) > 0 {
-		if len(p.samples) < cap(p.samples) {
-			p.samples = append(p.samples, rec)
-		} else {
-			p.samples[p.sampleHead] = rec
-			p.sampleHead = (p.sampleHead + 1) % cap(p.samples)
-		}
-	}
-	return rec
 }
 
 // SampleTail returns up to max of the most recently retained payload records,
@@ -193,9 +176,10 @@ type Topic struct {
 	obs        Observer
 
 	// Incremental aggregates, so the per-batch accounting paths (Lag,
-	// Fetch availability, TotalEnd) are O(1) instead of rescanning every
-	// partition on every batch cut.
-	totalEnd  int64 // sum of partition end offsets
+	// Fetch availability) are O(1) instead of rescanning every partition
+	// on every batch cut. totalEnd is also the rotation cursor: the next
+	// record goes to partition totalEnd % len(Partitions).
+	totalEnd  int64 // records ever appended; the sum of partition ends
 	downCount int   // partitions currently in outage
 
 	// acct, when non-nil, is the owning tenant's bus-level account; the
@@ -212,15 +196,10 @@ func (t *Topic) Tenant() string {
 	return t.acct.Tenant
 }
 
-// SetObserver installs (or, with nil, removes) the activity observer on the
+// SetObserver installs (or, with nil, removes) the activity observer for the
 // topic and all its partitions. Call before traffic starts; the observer is
 // not retroactive.
-func (t *Topic) SetObserver(o Observer) {
-	t.obs = o
-	for _, p := range t.Partitions {
-		p.obs = o
-	}
-}
+func (t *Topic) SetObserver(o Observer) { t.obs = o }
 
 // Errors returned by bus operations.
 var (
@@ -298,17 +277,6 @@ func (b *Bus) createTopic(name, tenant string, nPartitions, sampleCap int) (*Top
 // holds no tenant-bound topic under that name.
 func (b *Bus) TenantAccount(tenant string) *TenantAccount { return b.tenants[tenant] }
 
-// TenantAccounts returns every tenant account sorted by tenant name —
-// the deterministic iteration order reports and metrics snapshots use.
-func (b *Bus) TenantAccounts() []*TenantAccount {
-	out := make([]*TenantAccount, 0, len(b.tenants))
-	for _, a := range b.tenants {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
-	return out
-}
-
 // Topic looks up a topic by name.
 func (b *Bus) Topic(name string) (*Topic, error) {
 	t, ok := b.topics[name]
@@ -318,19 +286,16 @@ func (b *Bus) Topic(name string) (*Topic, error) {
 	return t, nil
 }
 
-// TotalEnd returns the sum of partition end offsets for a topic — the total
-// number of records ever produced to it.
-func (t *Topic) TotalEnd() int64 { return t.totalEnd }
-
 // DownPartitions returns how many partitions are currently in outage — the
 // O(1) any-partition-down check the engine's per-batch fault probe relies on.
 func (t *Topic) DownPartitions() int { return t.downCount }
 
 // Producer writes to one topic, spreading records uniformly across
 // partitions (round-robin), which is how the paper's generator avoids skew.
+// The rotation cursor belongs to the topic, so producers on one topic share
+// it.
 type Producer struct {
 	topic *Topic
-	next  int
 }
 
 // NewProducer returns a producer for the named topic.
@@ -344,32 +309,39 @@ func (b *Bus) NewProducer(topic string) (*Producer, error) {
 
 // Send appends one concrete record and returns it (with partition/offset
 // assigned).
+//
 //nostop:hotpath
 func (p *Producer) Send(key, value string, t sim.Time) Record {
-	part := p.topic.Partitions[p.next]
-	p.next = (p.next + 1) % len(p.topic.Partitions)
-	return part.appendRecord(key, value, t)
+	top := p.topic
+	parts := int64(len(top.Partitions))
+	part := top.Partitions[top.totalEnd%parts]
+	rec := Record{Partition: part.ID, Offset: top.totalEnd / parts, Key: key, Value: value, Time: t}
+	top.appended(1)
+	part.retain(rec)
+	return rec
 }
 
 // SendCount appends n payload-less records spread as evenly as possible
-// across partitions. Used for bulk rate simulation.
+// across partitions. Used for bulk rate simulation. The spread is implicit
+// in Partition.End, so the cost does not depend on the partition count.
+//
 //nostop:hotpath
 func (p *Producer) SendCount(n int64) {
-	if n <= 0 {
-		return
+	if n > 0 {
+		p.topic.appended(n)
 	}
-	parts := int64(len(p.topic.Partitions))
-	base := n / parts
-	rem := n % parts
-	for i := int64(0); i < parts; i++ {
-		idx := (int64(p.next) + i) % parts
-		cnt := base
-		if i < rem {
-			cnt++
-		}
-		p.topic.Partitions[idx].appendCount(cnt)
+}
+
+// appended advances the append total (and with it the rotation cursor) by
+// n > 0 records and reports them to the tenant account and the observer.
+func (t *Topic) appended(n int64) {
+	t.totalEnd += n
+	if t.acct != nil {
+		t.acct.Produced += n
 	}
-	p.next = int((int64(p.next) + rem) % parts)
+	if t.obs != nil {
+		t.obs.OnAppend(t.Name, n)
+	}
 }
 
 // OffsetRange identifies a consumed span [From, To) of one partition — the
@@ -415,25 +387,18 @@ type Chunk struct {
 	next    *Chunk
 }
 
-// NewConsumerGroup returns a group positioned at each partition's current
-// begin offset.
+// NewConsumerGroup returns a group positioned at each partition's begin
+// offset, 0.
 func (b *Bus) NewConsumerGroup(topic string) (*ConsumerGroup, error) {
 	t, err := b.Topic(topic)
 	if err != nil {
 		return nil, err
 	}
-	g := &ConsumerGroup{
+	return &ConsumerGroup{
 		topic:     t,
 		position:  make([]int64, len(t.Partitions)),
 		committed: make([]int64, len(t.Partitions)),
-	}
-	for i, p := range t.Partitions {
-		g.position[i] = p.Begin()
-		g.committed[i] = p.Begin()
-		g.posTotal += p.Begin()
-		g.committedTotal += p.Begin()
-	}
-	return g, nil
+	}, nil
 }
 
 // Lag returns the total unfetched records across partitions (relative to the
@@ -474,6 +439,7 @@ func (g *ConsumerGroup) Fetch(max int64) (int64, []Record, []OffsetRange) {
 // slices are reused across fetches. Release the chunk once its ranges are
 // committed (or abandoned); until then the chunk owns its payload copies, so
 // replay and retry see stable data. Returns nil when nothing is available.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) FetchChunk(max int64) *Chunk {
 	c := g.chunkFree
@@ -496,6 +462,7 @@ func (g *ConsumerGroup) FetchChunk(max int64) *Chunk {
 
 // Release returns a chunk to the group's pool. The chunk and its slices
 // must not be used after release.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) Release(c *Chunk) {
 	if c == nil {
@@ -572,6 +539,7 @@ func (g *ConsumerGroup) fetchInto(max int64, c *Chunk) {
 // Commit durably acknowledges processed ranges, advancing committed offsets.
 // Ranges may arrive out of order (a retried batch can finish after a later
 // one); committed only moves forward.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) Commit(ranges []OffsetRange) {
 	var advanced int64
@@ -597,6 +565,7 @@ func (g *ConsumerGroup) Commit(ranges []OffsetRange) {
 // — the consumer's reaction to a partition outage killing its in-flight
 // fetch session. The span between the two offsets will be fetched again; it
 // is added to the redelivery counter and returned.
+//
 //nostop:hotpath
 func (g *ConsumerGroup) Rewind(partition int) int64 {
 	if partition < 0 || partition >= len(g.position) {

@@ -87,6 +87,7 @@ func TestSendAssignsRoundRobinOffsets(t *testing.T) {
 func TestSendCountSpreadsEvenly(t *testing.T) {
 	bus, topic := newTestBus(t, 4, 0)
 	prod, _ := bus.NewProducer("events")
+	group, _ := bus.NewConsumerGroup("events")
 	prod.SendCount(10) // 3,3,2,2
 	ends := []int64{}
 	for _, p := range topic.Partitions {
@@ -102,17 +103,18 @@ func TestSendCountSpreadsEvenly(t *testing.T) {
 	if total != 10 {
 		t.Fatalf("total %d, want 10", total)
 	}
-	if topic.TotalEnd() != 10 {
-		t.Fatalf("TotalEnd=%d", topic.TotalEnd())
+	if group.Lag() != 10 {
+		t.Fatalf("Lag=%d", group.Lag())
 	}
 }
 
 func TestSendCountNonPositiveNoop(t *testing.T) {
-	bus, topic := newTestBus(t, 2, 0)
+	bus, _ := newTestBus(t, 2, 0)
 	prod, _ := bus.NewProducer("events")
+	group, _ := bus.NewConsumerGroup("events")
 	prod.SendCount(0)
 	prod.SendCount(-5)
-	if topic.TotalEnd() != 0 {
+	if group.Lag() != 0 {
 		t.Fatal("non-positive SendCount produced records")
 	}
 }
@@ -123,12 +125,13 @@ func TestSendCountConservesTotalProperty(t *testing.T) {
 		bus, _ := NewBus([]int{1, 2})
 		topic, _ := bus.CreateTopic("t", parts, 0)
 		prod, _ := bus.NewProducer("t")
+		group, _ := bus.NewConsumerGroup("t")
 		var want int64
 		for _, c := range counts {
 			prod.SendCount(int64(c))
 			want += int64(c)
 		}
-		if topic.TotalEnd() != want {
+		if group.Lag() != want {
 			return false
 		}
 		// Skew check: partitions differ by at most len(counts) records.
@@ -264,15 +267,16 @@ func TestSampleCapZeroRetainsNothing(t *testing.T) {
 }
 
 func TestMixedCountAndPayloadOffsets(t *testing.T) {
-	bus, topic := newTestBus(t, 1, 10)
+	bus, _ := newTestBus(t, 1, 10)
 	prod, _ := bus.NewProducer("events")
+	group, _ := bus.NewConsumerGroup("events")
 	prod.SendCount(5)
 	rec := prod.Send("k", "real", 0)
 	if rec.Offset != 5 {
 		t.Fatalf("payload offset %d after 5 counted records, want 5", rec.Offset)
 	}
-	if topic.TotalEnd() != 6 {
-		t.Fatalf("TotalEnd=%d", topic.TotalEnd())
+	if group.Lag() != 6 {
+		t.Fatalf("Lag=%d", group.Lag())
 	}
 }
 
@@ -280,23 +284,21 @@ func TestPollConservationProperty(t *testing.T) {
 	// Property: total consumed over arbitrary produce/poll interleavings
 	// equals total produced minus final lag.
 	f := func(ops []uint16) bool {
-		bus, topic := func() (*Bus, *Topic) {
-			b, _ := NewBus([]int{1, 2, 3})
-			tp, _ := b.CreateTopic("t", 7, 0)
-			return b, tp
-		}()
+		bus, _ := NewBus([]int{1, 2, 3})
+		bus.CreateTopic("t", 7, 0)
 		prod, _ := bus.NewProducer("t")
 		group, _ := bus.NewConsumerGroup("t")
-		var consumed int64
+		var produced, consumed int64
 		for i, op := range ops {
 			if i%2 == 0 {
 				prod.SendCount(int64(op % 1000))
+				produced += int64(op % 1000)
 			} else {
 				n, _ := group.Poll(int64(op % 500))
 				consumed += n
 			}
 		}
-		return consumed+group.Lag() == topic.TotalEnd()
+		return consumed+group.Lag() == produced
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

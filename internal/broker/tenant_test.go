@@ -96,8 +96,9 @@ func TestTenantAccountingRedelivery(t *testing.T) {
 	}
 }
 
-// TenantAccounts iterates deterministically: sorted by tenant name.
-func TestTenantAccountsSorted(t *testing.T) {
+// TenantAccount resolves each tenant to its own account; untenanted topics
+// and unknown names resolve to none.
+func TestTenantAccountLookup(t *testing.T) {
 	bus, err := NewBus([]int{1})
 	if err != nil {
 		t.Fatal(err)
@@ -107,22 +108,21 @@ func TestTenantAccountsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	accounts := bus.TenantAccounts()
-	want := []string{"alpha", "mid", "zeta"}
-	if len(accounts) != len(want) {
-		t.Fatalf("%d accounts, want %d", len(accounts), len(want))
-	}
-	for i, a := range accounts {
-		if a.Tenant != want[i] {
-			t.Fatalf("accounts[%d] = %q, want %q", i, a.Tenant, want[i])
+	for _, name := range []string{"zeta", "alpha", "mid"} {
+		if a := bus.TenantAccount(name); a == nil || a.Tenant != name {
+			t.Fatalf("TenantAccount(%q) = %+v", name, a)
 		}
 	}
-	// Untenanted topics mint no account.
+	if _, err := bus.CreateTenantTopic("t-anon", "", 1, 0); err == nil {
+		t.Fatal("empty tenant name accepted")
+	}
 	if _, err := bus.CreateTopic("plain", 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(bus.TenantAccounts()); got != 3 {
-		t.Fatalf("plain topic minted an account: %d accounts", got)
+	for _, name := range []string{"plain", "", "nope"} {
+		if a := bus.TenantAccount(name); a != nil {
+			t.Fatalf("TenantAccount(%q) = %+v, want nil", name, a)
+		}
 	}
 }
 

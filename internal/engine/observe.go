@@ -129,9 +129,10 @@ func newObsState(reg *metrics.Registry, tr *tracing.Tracer) *obsState {
 	return o
 }
 
-// OnAppend implements broker.Observer (producer→partition appends).
+// OnAppend implements broker.Observer (one call per produce call).
+//
 //nostop:hotpath
-func (o *obsState) OnAppend(topic string, partition int, n int64) {
+func (o *obsState) OnAppend(topic string, n int64) {
 	if o == nil {
 		return
 	}
@@ -140,6 +141,7 @@ func (o *obsState) OnAppend(topic string, partition int, n int64) {
 
 // OnFetch implements broker.Observer (receiver pull). One fetch happens per
 // batch cut, so a trace instant per call stays cheap.
+//
 //nostop:hotpath
 func (o *obsState) OnFetch(topic string, n int64, ranges []broker.OffsetRange) {
 	if o == nil {
@@ -162,6 +164,7 @@ func (o *obsState) traceFetch(n int64, ranges int) {
 }
 
 // OnCommit implements broker.Observer (offset-range commit).
+//
 //nostop:hotpath
 func (o *obsState) OnCommit(topic string, n int64, ranges []broker.OffsetRange) {
 	if o == nil {
@@ -171,6 +174,7 @@ func (o *obsState) OnCommit(topic string, n int64, ranges []broker.OffsetRange) 
 }
 
 // OnRewind implements broker.Observer (outage-triggered replay).
+//
 //nostop:hotpath
 func (o *obsState) OnRewind(topic string, partition int, redelivered int64) {
 	if o == nil {
@@ -189,6 +193,7 @@ func (o *obsState) traceRewind(partition int, redelivered int64) {
 }
 
 // OnOutage implements broker.Observer (partition leader down/up).
+//
 //nostop:hotpath
 func (o *obsState) OnOutage(topic string, partition int, down bool) {
 	if o == nil {
